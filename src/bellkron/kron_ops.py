@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import numpy as np
 
@@ -31,10 +31,11 @@ class SizeCapError(Exception):
     """A requested matrix or operator would exceed the configured size cap."""
 
 
-def check_size(rows: int, cols: int, size_cap: int = DEFAULT_SIZE_CAP) -> None:
+def check_size(rows: int, cols: int, size_cap: int = DEFAULT_SIZE_CAP,
+               what: str = "matrix") -> None:
     if rows * cols > size_cap:
         raise SizeCapError(
-            f"matrix of shape {rows} x {cols} ({rows * cols} entries) exceeds "
+            f"{what} of shape {rows} x {cols} ({rows * cols} entries) exceeds "
             f"the size cap of {size_cap}"
         )
 
@@ -62,6 +63,32 @@ def kron_chain(mats, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
     out = _as_matrix(mats[0])
     for m in mats[1:]:
         out = kron(out, m, size_cap=size_cap)
+    return out
+
+
+def kron_chain_apply(left, mats, size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
+    """left @ kron_chain(mats) without forming the chain (de Boor's rule).
+
+    Under the C-order convention the columns of ``left`` are the composite
+    row index (i_1, ..., i_m) of the chain.  Each step moves the leading
+    remaining digit i_t to the end and contracts it against mats[t], so after
+    m steps the digits are (j_1, ..., j_m) in order.  The size cap applies to
+    every intermediate, the last of which is the result.
+    """
+    left = _as_matrix(left)
+    mats = [_as_matrix(m) for m in mats]
+    if not mats:
+        raise ValueError("empty Kronecker chain")
+    chain_rows = prod(m.shape[0] for m in mats)
+    if left.shape[1] != chain_rows:
+        raise ValueError(f"left has {left.shape[1]} columns, chain has {chain_rows} rows")
+    rows = left.shape[0]
+    out = left
+    for m in mats:
+        r, c = m.shape
+        rest = out.shape[1] // r
+        check_size(rows, rest * c, size_cap, what="contraction intermediate")
+        out = (out.reshape(rows, r, rest).transpose(0, 2, 1) @ m).reshape(rows, rest * c)
     return out
 
 

@@ -200,6 +200,22 @@ def test_compose_emits_differential(tmp_path):
     assert abs(report["differential"][0] - 2.0) < 1e-12
 
 
+def test_compose_size_cap_names_the_contraction(tmp_path, capsys):
+    # Every jet fits a cap of 100; the 4 x 81 order-4 result does not.
+    g = PolyFn(3, 1, [[(1.0, (2, 1, 1)), (0.5, (1, 0, 0))]])
+    f = PolyFn(1, 4, [[(1.0, (e,))] for e in range(1, 5)])
+    g_path = tmp_path / "g.json"
+    f_path = tmp_path / "f.json"
+    g_path.write_text(json.dumps(g.to_json_dict()))
+    f_path.write_text(json.dumps(f.to_json_dict()))
+    code, _ = run(["--size-cap", "100", "compose", "--f", str(f_path), "--g", str(g_path),
+                   "--at", "[0.1,0.2,0.3]", "--order", "4"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert ("faa_total_derivative, Bell index j=(0, 0, 0, 1): "
+            "contraction intermediate of shape 4 x 81") in err
+
+
 def test_compose_dimension_mismatch_exits_4(tmp_path):
     g = PolyFn(1, 2, [[(1.0, (1,))], [(1.0, (2,))]])
     g_path = tmp_path / "g2.json"
@@ -280,6 +296,13 @@ def test_verify_suites_pass(suite):
     assert code == 0
     assert report["passed"] is True
     assert all(c["passed"] for c in report["checks"])
+
+
+def test_verify_compose_seed_7007_passes():
+    # A plain central ray difference leaves a 1.24e-4 residual at this seed.
+    code, report = run_json(["verify", "--suite", "compose", "--seed", "7007"])
+    assert code == 0
+    assert report["passed"] is True
 
 
 def test_verify_all_runs_every_suite():

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bellkron import (
     BlackBoxFn,
@@ -7,6 +9,7 @@ from bellkron import (
     Jet,
     PolyFn,
     apply_differential,
+    bell_multivariate,
     compose_poly,
     directional_taylor_check,
     exp_scalar_jet,
@@ -110,6 +113,34 @@ def test_identity_inner_function_recovers_outer_jet(rng):
     for n in range(1, 5):
         d = faa_total_derivative(n, f_jet, g_jet)
         assert np.array_equal(d.matrix, f_jet.matrix(n))
+
+
+@settings(max_examples=60, deadline=None)
+@given(n_x=st.integers(1, 3), n_y=st.integers(1, 3), n_f=st.integers(1, 3),
+       n=st.integers(1, 5), seed=st.integers(0, 2 ** 32 - 1))
+def test_contraction_matches_materialized_bell_sum(n_x, n_y, n_f, n, seed):
+    rng = np.random.default_rng(seed)
+    g = random_jet(rng, n_x, n_y, n)
+    f = random_jet(rng, n_y, n_f, n)
+    expected = sum(f.matrix(k) @ bell_multivariate(n, k, g) for k in range(1, n + 1))
+    got = faa_total_derivative(n, f, g).matrix
+    assert np.max(np.abs(got - expected)) <= 1e-12 * max(1.0, float(np.max(np.abs(expected))))
+
+
+def test_order_eight_three_by_three_fits_the_default_cap(rng):
+    # B_{8,8} alone would be 6561 x 6561 (43M entries, over the 10^7 cap);
+    # the contraction never holds more than the 1 x 6561 result.
+    monomials = [(3, 0, 0), (1, 1, 1), (0, 2, 1), (1, 0, 2), (1, 0, 0), (0, 1, 0)]
+    g = PolyFn(3, 3, [[(float(rng.uniform(-1, 1)), e) for e in monomials]
+                      for _ in range(3)])
+    f = PolyFn(3, 1, [[(float(rng.uniform(-1, 1)), e) for e in monomials]])
+    x = rng.uniform(-0.5, 0.5, 3)
+    g_jet = poly_jet(g, x, 8)
+    f_jet = poly_jet(f, g_jet.value, 8)
+    sym = faa_symmetrized(8, f_jet, g_jet)
+    truth = poly_jet(compose_poly(f, g), x, 8).matrix(8)
+    assert np.max(np.abs(truth)) > 1.0
+    assert rel_gap(sym.matrix, truth) < 1e-10
 
 
 # ---------------------------------------------------------------------------

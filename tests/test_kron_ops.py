@@ -15,6 +15,7 @@ from bellkron import (
     identity_perm,
     kron,
     kron_chain,
+    kron_chain_apply,
     kron_power,
     shuffle_operator,
     symmetrize_rows,
@@ -67,6 +68,37 @@ def test_kron_power_conventions(rng):
     assert np.array_equal(kron_power(v, 1), v)
     col = np.array([[1.0], [2.0]])
     assert np.array_equal(kron_power(col, 2), [[1.0], [2.0], [2.0], [4.0]])
+
+
+@pytest.mark.parametrize("shapes", [
+    [(4, 5)],
+    [(2, 3), (3, 1), (1, 4), (4, 2)],
+    [(3, 2), (2, 2), (3, 1)],
+])
+def test_kron_chain_apply_matches_formed_chain(rng, shapes):
+    # Unequal factor shapes, including columns and single-row blocks.
+    mats = [rng.uniform(-1, 1, shape) for shape in shapes]
+    rows = int(np.prod([m.shape[0] for m in mats]))
+    left = rng.uniform(-1, 1, (3, rows))
+    expected = left @ kron_chain(mats)
+    got = kron_chain_apply(left, mats)
+    assert got.shape == expected.shape
+    assert np.max(np.abs(got - expected)) < 1e-13
+
+
+def test_kron_chain_apply_caps_intermediates_not_the_chain():
+    # The 9 x 9 chain is never formed; the 1 x 9 result fits a cap of 9.
+    left = np.ones((1, 9))
+    assert kron_chain_apply(left, [np.eye(3), np.eye(3)], size_cap=9).shape == (1, 9)
+    with pytest.raises(SizeCapError, match="contraction intermediate of shape 2 x 9"):
+        kron_chain_apply(np.ones((2, 9)), [np.eye(3), np.eye(3)], size_cap=17)
+
+
+def test_kron_chain_apply_rejects_bad_shapes():
+    with pytest.raises(ValueError, match="empty"):
+        kron_chain_apply(np.ones((1, 1)), [])
+    with pytest.raises(ValueError, match="columns"):
+        kron_chain_apply(np.ones((1, 5)), [np.eye(2), np.eye(2)])
 
 
 # ---------------------------------------------------------------------------
