@@ -5,20 +5,24 @@ Exit codes: 0 success; 1 verification suite failure; 2 invalid input
 (including a zero Bell polynomial for k > n); 3 size-cap exceeded;
 4 dimension mismatch between f and g in `compose`.
 
-JSON output uses Python's shortest round-trip float representation, so
-emitted numbers re-parse to identical values.  Identical inputs and seeds
-produce byte-identical reports.
+Each command returns one Report whose JSON payload holds every number any
+format prints; csv and pretty are renderings of it, run only when asked for.
+Composite-index labels such as "1,2,2" are 1-based rows of
+kron_ops.composite_digits.  Floats print in Python's shortest round-trip
+repr, so emitted numbers re-parse to identical values, and identical inputs
+and seeds produce byte-identical reports.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
-import io
+import itertools
 import json
 import os
 import sys
 from dataclasses import dataclass, replace
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -36,6 +40,7 @@ from .kron_ops import (
     SizeCapError,
     Symmetrizer,
     commutation_matrix,
+    composite_digits,
     dense_materialize,
     kron,
     kron_power,
@@ -100,6 +105,28 @@ def load_config(args) -> RunConfig:
     return cfg
 
 
+class DimensionMismatchError(ValueError):
+    """f and g of a composite do not conform (exit code 4)."""
+
+
+class Report(NamedTuple):
+    """A command's JSON payload, its csv and pretty renderers, and exit code."""
+
+    payload: dict
+    csv_rows: Callable[[dict], list]
+    pretty_lines: Callable[[dict], list]
+    code: int = 0
+
+
+def _emit(report: Report, cfg: RunConfig, out) -> None:
+    if cfg.output_format == "json":
+        print(json.dumps(report.payload, indent=2), file=out)
+    elif cfg.output_format == "csv":
+        csv.writer(out).writerows(report.csv_rows(report.payload))
+    else:
+        print(*report.pretty_lines(report.payload), sep="\n", file=out)
+
+
 def _json_arg(text: str):
     """Parse an argument that is inline JSON or a path to a JSON file."""
     stripped = text.strip()
@@ -109,35 +136,20 @@ def _json_arg(text: str):
         return json.load(fh)
 
 
-def _digit_label(flat: int, dim: int, order: int) -> str:
-    digits = np.unravel_index(flat, (dim,) * order)
-    return ",".join(str(int(d) + 1) for d in digits)
+def _labels(digit_rows) -> list[str]:
+    """1-based composite-index labels of 0-based digit rows, e.g. "1,2,2"."""
+    return [",".join(str(d + 1) for d in row) for row in np.asarray(digit_rows).tolist()]
 
 
-def _emit(report: dict, cfg: RunConfig, out) -> None:
-    if cfg.output_format == "json":
-        payload = {k: v for k, v in report.items() if not k.startswith("_")}
-        print(json.dumps(payload, indent=2), file=out)
-    elif cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        for row in report["_csv_rows"]:
-            writer.writerow(row)
-        out.write(buf.getvalue())
-    else:
-        for line in report["_pretty_lines"]:
-            print(line, file=out)
-
-
-def _float_list(arr) -> list:
-    return [float(v) for v in np.asarray(arr).reshape(-1)]
+def _reprs(values) -> str:
+    return " ".join(repr(v) for v in values)
 
 
 # ---------------------------------------------------------------------------
 # moments
 
 
-def cmd_moments(args, cfg: RunConfig, out) -> int:
+def cmd_moments(args, cfg: RunConfig) -> Report:
     mean = np.asarray(_json_arg(args.mean), dtype=float)
     cov = np.asarray(_json_arg(args.cov), dtype=float)
     if cov.ndim != 2:
@@ -148,42 +160,46 @@ def cmd_moments(args, cfg: RunConfig, out) -> int:
         exponents = [int(v) for v in args.scalar.split(",")]
         value = scalar_moment(spec, exponents, size_cap=cfg.size_cap,
                               arity_cap=cfg.sym_arity_cap)
-        order = sum(exponents)
-        report = {
+        payload = {
             "dim": spec.dim,
-            "order": order,
+            "order": sum(exponents),
             "symmetrized": True,
             "exponents": exponents,
             "value": value,
         }
-        digits = ",".join(str(i + 1) for i, e in enumerate(exponents) for _ in range(e))
-        report["_csv_rows"] = [["index", "value"], [digits, repr(value)]]
-        report["_pretty_lines"] = [
-            f"scalar moment E[prod X_i^e_i] for exponents {exponents}: {value!r}",
-        ]
+        return Report(payload, _scalar_csv, _scalar_pretty)
+    if args.symmetrize:
+        mv = symmetrized_moment_vector(spec, args.order, size_cap=cfg.size_cap,
+                                       arity_cap=cfg.sym_arity_cap)
     else:
-        if args.symmetrize:
-            mv = symmetrized_moment_vector(spec, args.order, size_cap=cfg.size_cap,
-                                           arity_cap=cfg.sym_arity_cap)
-        else:
-            mv = raw_moment_vector(spec, args.order, size_cap=cfg.size_cap)
-        report = {
-            "dim": mv.dim,
-            "order": mv.order,
-            "symmetrized": mv.symmetrized,
-            "moment": _float_list(mv.data),
-        }
-        rows = [["index", "value"]]
-        for c, v in enumerate(mv.data):
-            rows.append([_digit_label(c, mv.dim, mv.order), repr(float(v))])
-        report["_csv_rows"] = rows
-        report["_pretty_lines"] = [
-            f"moment vector: dim={mv.dim} order={mv.order} symmetrized={mv.symmetrized}",
-        ] + [f"  [{_digit_label(c, mv.dim, mv.order)}] {float(v)!r}"
-             for c, v in enumerate(mv.data)]
+        mv = raw_moment_vector(spec, args.order, size_cap=cfg.size_cap)
+    payload = {
+        "dim": mv.dim,
+        "order": mv.order,
+        "symmetrized": mv.symmetrized,
+        "moment": mv.data.tolist(),
+    }
+    return Report(payload, _moment_csv, _moment_pretty)
 
-    _emit(report, cfg, out)
-    return 0
+
+def _scalar_csv(r: dict) -> list:
+    label = _labels([np.repeat(np.arange(r["dim"]), r["exponents"])])[0]
+    return [["index", "value"], [label, repr(r["value"])]]
+
+
+def _scalar_pretty(r: dict) -> list:
+    return [f"scalar moment E[prod X_i^e_i] for exponents {r['exponents']}: {r['value']!r}"]
+
+
+def _moment_csv(r: dict) -> list:
+    labels = _labels(composite_digits(r["dim"], r["order"]))
+    return [["index", "value"]] + [[c, repr(v)] for c, v in zip(labels, r["moment"])]
+
+
+def _moment_pretty(r: dict) -> list:
+    labels = _labels(composite_digits(r["dim"], r["order"]))
+    head = f"moment vector: dim={r['dim']} order={r['order']} symmetrized={r['symmetrized']}"
+    return [head] + [f"  [{c}] {v!r}" for c, v in zip(labels, r["moment"])]
 
 
 # ---------------------------------------------------------------------------
@@ -194,7 +210,7 @@ def _load_poly(path: str) -> PolyFn:
     return PolyFn.from_json_dict(_json_arg(path))
 
 
-def cmd_compose(args, cfg: RunConfig, out) -> int:
+def cmd_compose(args, cfg: RunConfig) -> Report:
     g = _load_poly(args.g)
     at = np.asarray(_json_arg(args.at), dtype=float).reshape(-1)
     if at.shape != (g.n_x,):
@@ -204,16 +220,14 @@ def cmd_compose(args, cfg: RunConfig, out) -> int:
     g_jet = poly_jet(g, at, n, size_cap=cfg.size_cap)
     if args.f == "exp":
         if g.n_y != 1:
-            print(f"error: exp composes with scalar g only, g produces {g.n_y}",
-                  file=sys.stderr)
-            return 4
+            raise DimensionMismatchError(
+                f"exp composes with scalar g only, g produces {g.n_y}")
         f_jet = exp_scalar_jet(float(g_jet.value[0]), n)
     else:
         f = _load_poly(args.f)
         if f.n_x != g.n_y:
-            print(f"error: f consumes {f.n_x} inputs but g produces {g.n_y}",
-                  file=sys.stderr)
-            return 4
+            raise DimensionMismatchError(
+                f"f consumes {f.n_x} inputs but g produces {g.n_y}")
         f_jet = poly_jet(f, g_jet.value, n, size_cap=cfg.size_cap)
 
     if args.symmetrize:
@@ -222,92 +236,90 @@ def cmd_compose(args, cfg: RunConfig, out) -> int:
     else:
         d = faa_total_derivative(n, f_jet, g_jet, size_cap=cfg.size_cap)
 
-    report = {
+    payload = {
         "n_f": d.n_f,
         "n_x": d.n_x,
         "order": d.order,
         "symmetrized": d.symmetrized,
-        "shape": [int(d.matrix.shape[0]), int(d.matrix.shape[1])],
-        "matrix": [_float_list(row) for row in d.matrix],
+        "shape": list(d.matrix.shape),
+        "matrix": d.matrix.tolist(),
     }
-    rows = [["component", "index", "value"]]
-    for i in range(d.matrix.shape[0]):
-        for c in range(d.matrix.shape[1]):
-            rows.append([str(i + 1), _digit_label(c, d.n_x, d.order),
-                         repr(float(d.matrix[i, c]))])
-    pretty = [
-        f"composite derivative: order={d.order} shape={d.matrix.shape[0]}x{d.matrix.shape[1]} "
-        f"symmetrized={d.symmetrized}",
-    ] + [f"  row {i + 1}: " + " ".join(repr(float(v)) for v in d.matrix[i])
-         for i in range(d.matrix.shape[0])]
-
     if args.dx:
         dx = np.asarray(_json_arg(args.dx), dtype=float).reshape(-1)
-        diff = apply_differential(d, dx, size_cap=cfg.size_cap)
-        report["differential"] = _float_list(diff)
-        rows.append(["differential", "", " ".join(repr(float(v)) for v in diff)])
-        pretty.append("differential: " + " ".join(repr(float(v)) for v in diff))
+        payload["differential"] = apply_differential(d, dx, size_cap=cfg.size_cap).tolist()
+    return Report(payload, _compose_csv, _compose_pretty)
 
-    report["_csv_rows"] = rows
-    report["_pretty_lines"] = pretty
-    _emit(report, cfg, out)
-    return 0
+
+def _compose_csv(r: dict) -> list:
+    labels = _labels(composite_digits(r["n_x"], r["order"]))
+    rows = [["component", "index", "value"]]
+    for i, row in enumerate(r["matrix"], 1):
+        rows.extend([str(i), c, repr(v)] for c, v in zip(labels, row))
+    if "differential" in r:
+        rows.append(["differential", "", _reprs(r["differential"])])
+    return rows
+
+
+def _compose_pretty(r: dict) -> list:
+    rows, cols = r["shape"]
+    lines = [f"composite derivative: order={r['order']} shape={rows}x{cols} "
+             f"symmetrized={r['symmetrized']}"]
+    lines += [f"  row {i}: " + _reprs(row) for i, row in enumerate(r["matrix"], 1)]
+    if "differential" in r:
+        lines.append("differential: " + _reprs(r["differential"]))
+    return lines
 
 
 # ---------------------------------------------------------------------------
 # bell
 
 
-def cmd_bell(args, cfg: RunConfig, out) -> int:
+def cmd_bell(args, cfg: RunConfig) -> Report:
     n, k = args.n, args.k
-    if n < 1 or k < 1:
-        raise ValueError(f"n and k must be positive, got n={n}, k={k}")
-    if k > n:
-        report = {"n": n, "k": k, "zero": True, "terms": []}
-        report["_csv_rows"] = [["j", "coefficient", "factor_orders"]]
-        report["_pretty_lines"] = [f"B_{{{n},{k}}} is the zero polynomial (k > n)"]
-        _emit(report, cfg, out)
-        return 2
-
-    indices = enumerate_bell_indices(n, k)
     terms = []
-    for idx in indices:
+    for idx in enumerate_bell_indices(n, k):
         coeff = bell_coefficient(idx)
         terms.append({
             "j": list(idx.j),
             "coefficient": int(coeff) if coeff.denominator == 1 else str(coeff),
             "factor_orders": list(idx.factor_orders),
         })
-    report = {"n": n, "k": k, "zero": False, "terms": terms}
-    rows = [["j", "coefficient", "factor_orders"]]
-    for t in terms:
-        rows.append([",".join(map(str, t["j"])), str(t["coefficient"]),
-                     ",".join(map(str, t["factor_orders"]))])
-    pretty = [f"B_{{{n},{k}}}: {len(terms)} term(s)"]
-    for t in terms:
-        factors = " (x) ".join(f"g_x^{o}" if o > 1 else "g_x" for o in t["factor_orders"])
-        pretty.append(f"  {t['coefficient']} * {factors}   [j={tuple(t['j'])}]")
-
-    if args.g:
+    zero = k > n  # enumerate_bell_indices returned no terms; exit 2
+    payload = {"n": n, "k": k, "zero": zero, "terms": terms}
+    if args.g and not zero:
         g = _load_poly(args.g)
         if args.at is None:
             raise ValueError("--g requires --at")
         at = np.asarray(_json_arg(args.at), dtype=float).reshape(-1)
         jet = poly_jet(g, at, n - k + 1, size_cap=cfg.size_cap)
         mat = bell_multivariate(n, k, jet, size_cap=cfg.size_cap)
-        report["shape"] = [int(mat.shape[0]), int(mat.shape[1])]
-        report["matrix"] = [_float_list(row) for row in mat]
-        for i in range(mat.shape[0]):
-            rows.append([f"matrix_row_{i + 1}", "",
-                         " ".join(repr(float(v)) for v in mat[i])])
-        pretty.append(f"evaluated matrix shape {mat.shape[0]}x{mat.shape[1]}")
-        pretty.extend("  " + " ".join(repr(float(v)) for v in mat[i])
-                      for i in range(mat.shape[0]))
+        payload["shape"] = list(mat.shape)
+        payload["matrix"] = mat.tolist()
+    return Report(payload, _bell_csv, _bell_pretty, code=2 if zero else 0)
 
-    report["_csv_rows"] = rows
-    report["_pretty_lines"] = pretty
-    _emit(report, cfg, out)
-    return 0
+
+def _bell_csv(r: dict) -> list:
+    rows = [["j", "coefficient", "factor_orders"]]
+    rows += [[",".join(map(str, t["j"])), str(t["coefficient"]),
+              ",".join(map(str, t["factor_orders"]))] for t in r["terms"]]
+    rows += [[f"matrix_row_{i}", "", _reprs(row)]
+             for i, row in enumerate(r.get("matrix", ()), 1)]
+    return rows
+
+
+def _bell_pretty(r: dict) -> list:
+    n, k = r["n"], r["k"]
+    if r["zero"]:
+        return [f"B_{{{n},{k}}} is the zero polynomial (k > n)"]
+    lines = [f"B_{{{n},{k}}}: {len(r['terms'])} term(s)"]
+    for t in r["terms"]:
+        factors = " (x) ".join(f"g_x^{o}" if o > 1 else "g_x" for o in t["factor_orders"])
+        lines.append(f"  {t['coefficient']} * {factors}   [j={tuple(t['j'])}]")
+    if "matrix" in r:
+        rows, cols = r["shape"]
+        lines.append(f"evaluated matrix shape {rows}x{cols}")
+        lines += ["  " + _reprs(row) for row in r["matrix"]]
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +451,8 @@ def _suite_moments(seed: int, cfg: RunConfig) -> list[dict]:
                 worst_two_path = max(
                     worst_two_path,
                     float(np.max(np.abs(sym_raw.data - sym_via))) / scale)
-                for exponents in _exponent_vectors(dim, n):
+                for digits in itertools.combinations_with_replacement(range(dim), n):
+                    exponents = np.bincount(digits, minlength=dim)
                     oracle = isserlis_moment(spec, exponents)
                     ours = scalar_moment(spec, exponents, size_cap=cfg.size_cap,
                                          arity_cap=cfg.sym_arity_cap)
@@ -448,15 +461,6 @@ def _suite_moments(seed: int, cfg: RunConfig) -> list[dict]:
     checks.append(_check("two_path_symmetrized_equality", worst_two_path, 1e-10))
     checks.append(_check("isserlis_oracle_equality", worst_oracle, 1e-10))
     return checks
-
-
-def _exponent_vectors(dim: int, total: int):
-    if dim == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _exponent_vectors(dim - 1, total - head):
-            yield (head,) + rest
 
 
 def _suite_compose(seed: int, cfg: RunConfig) -> list[dict]:
@@ -510,35 +514,29 @@ _SUITES = {
 }
 
 
-def cmd_verify(args, cfg: RunConfig, out) -> int:
+def cmd_verify(args, cfg: RunConfig) -> Report:
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    checks = []
-    for name in names:
-        for check in _SUITES[name](args.seed, cfg):
-            check["suite"] = name
-            checks.append(check)
+    checks = [{"suite": name, **check} for name in names
+              for check in _SUITES[name](args.seed, cfg)]
     passed = all(c["passed"] for c in checks)
-    report = {
-        "suite": args.suite,
-        "seed": args.seed,
-        "passed": passed,
-        "checks": [{k: c[k] for k in ("suite", "name", "passed", "residual", "tolerance")}
-                   for c in checks],
-    }
-    rows = [["suite", "check", "passed", "residual", "tolerance"]]
-    for c in checks:
-        rows.append([c["suite"], c["name"], str(c["passed"]).lower(),
-                     repr(c["residual"]), repr(c["tolerance"])])
-    pretty = [f"verify suite={args.suite} seed={args.seed}"]
-    for c in checks:
+    payload = {"suite": args.suite, "seed": args.seed, "passed": passed, "checks": checks}
+    return Report(payload, _verify_csv, _verify_pretty, code=0 if passed else 1)
+
+
+def _verify_csv(r: dict) -> list:
+    return [["suite", "check", "passed", "residual", "tolerance"]] + [
+        [c["suite"], c["name"], str(c["passed"]).lower(), repr(c["residual"]),
+         repr(c["tolerance"])] for c in r["checks"]]
+
+
+def _verify_pretty(r: dict) -> list:
+    lines = [f"verify suite={r['suite']} seed={r['seed']}"]
+    for c in r["checks"]:
         status = "PASS" if c["passed"] else "FAIL"
-        pretty.append(f"  {status} {c['suite']}/{c['name']}: residual={c['residual']!r} "
-                      f"tolerance={c['tolerance']!r}")
-    pretty.append("all checks passed" if passed else "FAILURES present")
-    report["_csv_rows"] = rows
-    report["_pretty_lines"] = pretty
-    _emit(report, cfg, out)
-    return 0 if passed else 1
+        lines.append(f"  {status} {c['suite']}/{c['name']}: residual={c['residual']!r} "
+                     f"tolerance={c['tolerance']!r}")
+    lines.append("all checks passed" if r["passed"] else "FAILURES present")
+    return lines
 
 
 # ---------------------------------------------------------------------------
@@ -597,10 +595,15 @@ def main(argv=None, out=None) -> int:
     args = parser.parse_args(argv)
     try:
         cfg = load_config(args)
-        return args.func(args, cfg, out)
+        report = args.func(args, cfg)
+        _emit(report, cfg, out)
+        return report.code
     except SizeCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except DimensionMismatchError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 4
     except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -24,7 +24,7 @@ from .kron_ops import (
     SizeCapError,
     Symmetrizer,
     kron_chain_apply,
-    symmetrize_matrix_columns,
+    symmetrize_rows,
 )
 from .matrix_calculus import BlackBoxFn
 from .partitions import bell_coefficient, enumerate_bell_indices
@@ -97,8 +97,8 @@ def faa_symmetrized(n: int, f_jet: Jet, g_jet: Jet,
                     arity_cap: int = DEFAULT_ARITY_CAP) -> CompositeDerivative:
     """The symmetrized total derivative: the true matrix of mixed partials."""
     raw = faa_total_derivative(n, f_jet, g_jet, size_cap=size_cap)
-    sym = symmetrize_matrix_columns(Symmetrizer(g_jet.n_x, n), raw.matrix,
-                                    arity_cap=arity_cap, size_cap=size_cap)
+    sym = symmetrize_rows(Symmetrizer(g_jet.n_x, n), raw.matrix,
+                          arity_cap=arity_cap, size_cap=size_cap)
     return CompositeDerivative(n, raw.n_f, raw.n_x, sym, symmetrized=True)
 
 

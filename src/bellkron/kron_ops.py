@@ -6,7 +6,10 @@ Index convention
 The flat index of a Kronecker chain A_1 (x) A_2 (x) ... (x) A_m is the
 mixed-radix number whose FIRST factor digit is the most significant, i.e.
 numpy C order: for row vectors x (dim m) and y (dim n), (x (x) y)[i*n + j]
-= x[i] * y[j].  Every permutation operator below is an index map under this
+= x[i] * y[j].  For m equal factors of dimension d, composite_digits(d, m)
+is the table of every flat index's digits and composite_flat its inverse;
+index labels, digit-multiset orbit codes and flat indices are all read from
+that one table.  Every permutation operator below is an index map under this
 convention; dense permutation matrices are only materialized for tests and
 small debugging sizes.
 
@@ -18,7 +21,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import factorial, prod
+from math import prod
 
 import numpy as np
 
@@ -222,58 +225,65 @@ def apply_perm_vector(p: PermOperator, v) -> np.ndarray:
     return v[p.perm]
 
 
+def composite_digits(dim: int, order: int) -> np.ndarray:
+    """C-order digit table of the composite index space of ``order`` factors
+    of dimension ``dim``: row c holds the 0-based digits (i_1, ..., i_order)
+    of flat index c, i_1 most significant, in the smallest unsigned dtype
+    that holds dim - 1."""
+    digits = np.empty((dim ** order, order), dtype=np.min_scalar_type(dim - 1))
+    for t in range(order):
+        digits[:, t].reshape(dim ** t, dim, -1)[...] = np.arange(dim)[:, None]
+    return digits
+
+
+def composite_flat(digits, dim: int) -> np.ndarray:
+    """Inverse of composite_digits: the flat index of each digit row (last axis)."""
+    digits = np.asarray(digits)
+    flat = np.zeros(digits.shape[:-1], dtype=np.int64)
+    for t in range(digits.shape[-1]):
+        flat = flat * dim + digits[..., t]
+    return flat
+
+
 def _orbit_groups(base_dim: int, arity: int) -> np.ndarray:
     """Group id per composite index; two indices share a group iff their
-    digit multisets coincide."""
-    digits = np.unravel_index(np.arange(base_dim ** arity), (base_dim,) * arity)
-    key = np.sort(np.stack(digits, axis=1), axis=1)
-    _, inverse = np.unique(key, axis=0, return_inverse=True)
+    digit multisets coincide.  The orbit code of an index is the flat index
+    of its sorted digits; group ids number the codes in increasing order."""
+    codes = composite_flat(np.sort(composite_digits(base_dim, arity), axis=1), base_dim)
+    _, inverse = np.unique(codes, return_inverse=True)
     return inverse
 
 
 def symmetrize_rows(s: Symmetrizer, v, arity_cap: int = DEFAULT_ARITY_CAP,
                     size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
-    """Average a row vector over all arity! digit-permutations of its index.
+    """Average a row vector, or every row of a matrix, over all arity!
+    digit-permutations of its last-axis index: v @ dense(S).
 
-    Equal to right-multiplication by the dense symmetrizer.  Permutations
-    with the same digit rearrangement are deduplicated, so the cost is
-    O(size * arity log arity), not arity!.
+    Permutations with the same digit rearrangement are deduplicated, so the
+    cost is O(size * arity log arity), not arity!.  One bincount over
+    row-offset group ids sums every (row, orbit) pair in index order.
     """
     if s.arity > arity_cap:
         raise ValueError(f"arity {s.arity} exceeds the symmetrizer budget {arity_cap}")
-    check_size(s.size, 1, size_cap)
     v = np.asarray(v, dtype=float)
-    if v.shape != (s.size,):
-        raise ValueError(f"vector length {v.shape} != base_dim^arity = {s.size}")
-    groups = _orbit_groups(s.base_dim, s.arity)
-    sums = np.bincount(groups, weights=v)
-    counts = np.bincount(groups)
-    return (sums / counts)[groups]
-
-
-def symmetrize_matrix_columns(s: Symmetrizer, a, arity_cap: int = DEFAULT_ARITY_CAP,
-                              size_cap: int = DEFAULT_SIZE_CAP) -> np.ndarray:
-    """symmetrize_rows applied to every row of a matrix: a @ dense(S)."""
-    a = _as_matrix(a)
-    if a.shape[1] != s.size:
-        raise ValueError(f"column count {a.shape[1]} != base_dim^arity = {s.size}")
-    if s.arity > arity_cap:
-        raise ValueError(f"arity {s.arity} exceeds the symmetrizer budget {arity_cap}")
+    if v.ndim not in (1, 2) or v.shape[-1] != s.size:
+        raise ValueError(f"shape {v.shape} does not end in base_dim^arity = {s.size}")
+    rows = v.reshape(-1, s.size)
+    check_size(rows.shape[0], s.size, size_cap)
     groups = _orbit_groups(s.base_dim, s.arity)
     counts = np.bincount(groups)
-    out = np.empty_like(a)
-    for i in range(a.shape[0]):
-        out[i] = (np.bincount(groups, weights=a[i]) / counts)[groups]
-    return out
+    ids = groups + counts.size * np.arange(rows.shape[0])[:, None]
+    sums = np.bincount(ids.ravel(), weights=rows.ravel()).reshape(-1, counts.size)
+    return np.take(sums / counts, groups, axis=1).reshape(v.shape)
 
 
 def dense_materialize(op, dense_cap: int = DEFAULT_DENSE_CAP, exact: bool = False) -> np.ndarray:
     """Explicit matrix of a PermOperator or Symmetrizer.
 
     Permutation operators give a 0/1 float matrix.  Symmetrizers give entries
-    stab(a)/arity! on each digit orbit; with ``exact=True`` the entries are
-    Fractions in an object array so idempotence and symmetry can be checked
-    without rounding.
+    stab(a)/arity! = 1/|orbit(a)| on each digit orbit; with ``exact=True``
+    the entries are Fractions in an object array so idempotence and symmetry
+    can be checked without rounding.
     """
     if isinstance(op, PermOperator):
         if op.size > dense_cap:
@@ -286,21 +296,11 @@ def dense_materialize(op, dense_cap: int = DEFAULT_DENSE_CAP, exact: bool = Fals
         if size > dense_cap:
             raise SizeCapError(f"symmetrizer size {size} exceeds the dense cap {dense_cap}")
         groups = _orbit_groups(op.base_dim, op.arity)
-        m_fact = factorial(op.arity)
-        digits = np.unravel_index(np.arange(size), (op.base_dim,) * op.arity)
-        digits = np.stack(digits, axis=1)
+        counts = np.bincount(groups)
         if exact:
-            out = np.empty((size, size), dtype=object)
-            out[:] = Fraction(0)
+            entry = np.array([Fraction(1, int(c)) for c in counts], dtype=object)
+            zero = Fraction(0)
         else:
-            out = np.zeros((size, size))
-        for a in range(size):
-            stab = 1
-            for value in range(op.base_dim):
-                stab *= factorial(int(np.sum(digits[a] == value)))
-            entry = Fraction(stab, m_fact) if exact else stab / m_fact
-            members = np.nonzero(groups == groups[a])[0]
-            for b in members:
-                out[a, b] = entry
-        return out
+            entry, zero = 1.0 / counts, 0.0
+        return np.where(groups[:, None] == groups[None, :], entry[groups][:, None], zero)
     raise TypeError(f"cannot materialize {type(op).__name__}")

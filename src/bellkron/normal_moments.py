@@ -27,6 +27,7 @@ from .kron_ops import (
     DEFAULT_SIZE_CAP,
     Symmetrizer,
     check_size,
+    composite_flat,
     kron,
     kron_power,
     symmetrize_rows,
@@ -175,10 +176,5 @@ def scalar_moment(spec: GaussianSpec, exponents,
     if n == 0:
         return 1.0
     sym = symmetrized_moment_vector(spec, n, size_cap=size_cap, arity_cap=arity_cap)
-    digits = []
-    for i, e in enumerate(exponents):
-        digits.extend([i] * e)
-    flat = 0
-    for d in digits:
-        flat = flat * spec.dim + d
-    return float(sym.data[flat])
+    digits = np.repeat(np.arange(spec.dim), exponents)
+    return float(sym.data[composite_flat(digits, spec.dim)])

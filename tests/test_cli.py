@@ -14,6 +14,7 @@ from bellkron import (
     poly_jet,
     raw_moment_vector,
 )
+from bellkron import cli
 from bellkron.cli import main
 
 SIGMA = [[2.0, 0.5], [0.5, 1.0]]
@@ -265,6 +266,26 @@ def test_csv_and_pretty_formats():
                       "--order", "2", "--format", "pretty"])
     assert code == 0
     assert "moment vector" in text
+
+
+def test_json_format_calls_no_csv_or_pretty_renderer(monkeypatch, tmp_path):
+    def refuse(payload):
+        raise AssertionError("a json request rendered csv or pretty output")
+
+    renderers = [name for name in vars(cli) if name.startswith("_")
+                 and name.endswith(("_csv", "_pretty"))]
+    assert len(renderers) == 10
+    for name in renderers:
+        monkeypatch.setattr(cli, name, refuse)
+    g_path = quadratic_file(tmp_path)
+    moments = ["moments", "--mean", "[0,0]", "--cov", json.dumps(SIGMA)]
+    for argv in (moments + ["--order", "3", "--symmetrize"],
+                 moments + ["--scalar", "2,1"],
+                 ["compose", "--f", "exp", "--g", g_path, "--at", "[0,0]", "--order", "2"],
+                 ["bell", "--n", "4", "--k", "2"],
+                 ["verify", "--suite", "recurrence", "--seed", "0"]):
+        code, _ = run_json(argv + ["--format", "json"])
+        assert code == 0
 
 
 def test_config_file_sets_format_and_flag_wins(tmp_path):

@@ -20,7 +20,12 @@ from bellkron import (
     shuffle_operator,
     symmetrize_rows,
 )
-from bellkron.kron_ops import apply_perm_vector
+from bellkron.kron_ops import (
+    _orbit_groups,
+    apply_perm_vector,
+    composite_digits,
+    composite_flat,
+)
 
 
 def inverse_of(sigma):
@@ -282,6 +287,36 @@ def test_symmetrize_equals_explicit_permutation_average(rng):
         count += 1
     got = symmetrize_rows(Symmetrizer(dim, arity), v)
     assert np.max(np.abs(got - total / count)) < 1e-13
+
+
+def test_composite_digits_is_c_order_and_flat_inverts_it():
+    for dim, order in [(1, 3), (2, 3), (3, 2), (10, 2), (3, 0), (300, 1)]:
+        table = composite_digits(dim, order)
+        assert table.tolist() == [list(t) for t in itertools.product(range(dim), repeat=order)]
+        assert np.array_equal(composite_flat(table, dim), np.arange(dim ** order))
+
+
+def test_orbit_groups_match_unique_sorted_digit_rows():
+    # Reference: np.unique over the sorted digit rows themselves.
+    for dim, arity in [(1, 4), (2, 3), (3, 4), (4, 3), (5, 2)]:
+        digits = np.stack(np.unravel_index(np.arange(dim ** arity), (dim,) * arity), axis=1)
+        _, expected = np.unique(np.sort(digits, axis=1), axis=0, return_inverse=True)
+        assert np.array_equal(_orbit_groups(dim, arity), expected.reshape(-1))
+
+
+def test_symmetrize_rows_matrix_is_rowwise_and_c_ordered(rng):
+    s = Symmetrizer(3, 3)
+    mat = rng.uniform(-1, 1, (4, 27))
+    out = symmetrize_rows(s, mat)
+    assert out.flags["C_CONTIGUOUS"]
+    for row, out_row in zip(mat, out):
+        assert np.array_equal(out_row, symmetrize_rows(s, row))
+    with pytest.raises(ValueError):
+        symmetrize_rows(s, mat[:, :9])
+    with pytest.raises(ValueError):
+        symmetrize_rows(s, mat.reshape(2, 2, 27))
+    with pytest.raises(SizeCapError):
+        symmetrize_rows(s, mat, size_cap=100)
 
 
 def test_symmetrizer_budget_and_caps():

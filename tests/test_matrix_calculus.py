@@ -14,7 +14,7 @@ from bellkron import (
     kron_power,
     poly_jet,
     ray_derivative,
-    symmetrize_matrix_columns,
+    symmetrize_rows,
 )
 from conftest import random_poly, rel_gap
 
@@ -99,8 +99,10 @@ def test_poly_jet_schwarz_symmetry(rng):
         jet = poly_jet(p, rng.uniform(-1, 1, 3), 3)
         for order in (2, 3):
             mat = jet.matrix(order)
-            sym = symmetrize_matrix_columns(Symmetrizer(3, order), mat)
+            sym = symmetrize_rows(Symmetrizer(3, order), mat)
             assert rel_gap(sym, mat) < 1e-12
+            for row, sym_row in zip(mat, sym):
+                assert np.array_equal(sym_row, symmetrize_rows(Symmetrizer(3, order), row))
 
 
 # ---------------------------------------------------------------------------
