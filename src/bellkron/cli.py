@@ -19,9 +19,10 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -79,6 +80,12 @@ class RunConfig:
     output_format: str = "json"
 
     def __post_init__(self):
+        kinds = {"int": int, "float": (int, float), "str": str}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kinds[f.type]) \
+                    or (f.type == "float" and not math.isfinite(value)):
+                raise ValueError(f"config field {f.name} must be {f.type}, got {value!r}")
         if min(self.size_cap, self.dense_cap, self.sym_arity_cap) < 1:
             raise ValueError("all caps must be positive")
         if self.fd_step_first <= 0 or self.fd_step_higher <= 0:
@@ -118,7 +125,22 @@ class Report(NamedTuple):
     code: int = 0
 
 
+def _require_finite(value, field: str = "") -> None:
+    """Raise ValueError naming the first report field that holds NaN or an
+    infinity; JSON has no such numbers and csv/pretty must not print them."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            _require_finite(item, f"{field}.{key}" if field else key)
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            if not isinstance(item, float) or not math.isfinite(item):
+                _require_finite(item, f"{field}[{i}]")
+    elif isinstance(value, float) and not math.isfinite(value):
+        raise ValueError(f"report field {field} is not finite ({value!r})")
+
+
 def _emit(report: Report, cfg: RunConfig, out) -> None:
+    _require_finite(report.payload)
     if cfg.output_format == "json":
         print(json.dumps(report.payload, indent=2), file=out)
     elif cfg.output_format == "csv":
@@ -136,6 +158,23 @@ def _json_arg(text: str):
         return json.load(fh)
 
 
+def _finite(value, what: str):
+    """Nested JSON lists of numbers as floats, rejecting booleans, strings,
+    NaN and infinities instead of coercing them."""
+    if isinstance(value, list):
+        return [_finite(v, what) for v in value]
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{what} must hold numbers only, got {value!r}")
+    if not math.isfinite(value):
+        raise ValueError(f"{what} holds the non-finite value {value!r}")
+    return float(value)
+
+
+def _number_arg(text: str, what: str) -> np.ndarray:
+    """A numeric JSON argument (inline or a file) as a float array."""
+    return np.asarray(_finite(_json_arg(text), what), dtype=float)
+
+
 def _labels(digit_rows) -> list[str]:
     """1-based composite-index labels of 0-based digit rows, e.g. "1,2,2"."""
     return [",".join(str(d + 1) for d in row) for row in np.asarray(digit_rows).tolist()]
@@ -150,14 +189,17 @@ def _reprs(values) -> str:
 
 
 def cmd_moments(args, cfg: RunConfig) -> Report:
-    mean = np.asarray(_json_arg(args.mean), dtype=float)
-    cov = np.asarray(_json_arg(args.cov), dtype=float)
+    mean = _number_arg(args.mean, "--mean")
+    cov = _number_arg(args.cov, "--cov")
     if cov.ndim != 2:
         raise ValueError("--cov must be a 2-D JSON array")
     spec = GaussianSpec(len(mean.reshape(-1)), mean, cov)
 
     if args.scalar:
         exponents = [int(v) for v in args.scalar.split(",")]
+        if args.order is not None and args.order != sum(exponents):
+            raise ValueError(f"--order {args.order} disagrees with the exponent "
+                             f"sum {sum(exponents)} of --scalar")
         value = scalar_moment(spec, exponents, size_cap=cfg.size_cap,
                               arity_cap=cfg.sym_arity_cap)
         payload = {
@@ -168,11 +210,12 @@ def cmd_moments(args, cfg: RunConfig) -> Report:
             "value": value,
         }
         return Report(payload, _scalar_csv, _scalar_pretty)
+    order = 1 if args.order is None else args.order
     if args.symmetrize:
-        mv = symmetrized_moment_vector(spec, args.order, size_cap=cfg.size_cap,
+        mv = symmetrized_moment_vector(spec, order, size_cap=cfg.size_cap,
                                        arity_cap=cfg.sym_arity_cap)
     else:
-        mv = raw_moment_vector(spec, args.order, size_cap=cfg.size_cap)
+        mv = raw_moment_vector(spec, order, size_cap=cfg.size_cap)
     payload = {
         "dim": mv.dim,
         "order": mv.order,
@@ -212,7 +255,7 @@ def _load_poly(path: str) -> PolyFn:
 
 def cmd_compose(args, cfg: RunConfig) -> Report:
     g = _load_poly(args.g)
-    at = np.asarray(_json_arg(args.at), dtype=float).reshape(-1)
+    at = _number_arg(args.at, "--at").reshape(-1)
     if at.shape != (g.n_x,):
         raise ValueError(f"--at has length {at.shape[0]}, expected {g.n_x}")
     n = args.order
@@ -245,7 +288,7 @@ def cmd_compose(args, cfg: RunConfig) -> Report:
         "matrix": d.matrix.tolist(),
     }
     if args.dx:
-        dx = np.asarray(_json_arg(args.dx), dtype=float).reshape(-1)
+        dx = _number_arg(args.dx, "--dx").reshape(-1)
         payload["differential"] = apply_differential(d, dx, size_cap=cfg.size_cap).tolist()
     return Report(payload, _compose_csv, _compose_pretty)
 
@@ -290,7 +333,7 @@ def cmd_bell(args, cfg: RunConfig) -> Report:
         g = _load_poly(args.g)
         if args.at is None:
             raise ValueError("--g requires --at")
-        at = np.asarray(_json_arg(args.at), dtype=float).reshape(-1)
+        at = _number_arg(args.at, "--at").reshape(-1)
         jet = poly_jet(g, at, n - k + 1, size_cap=cfg.size_cap)
         mat = bell_multivariate(n, k, jet, size_cap=cfg.size_cap)
         payload["shape"] = list(mat.shape)
@@ -556,7 +599,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="moment vectors of a multivariate normal")
     p.add_argument("--mean", required=True, help="JSON array or file")
     p.add_argument("--cov", required=True, help="JSON 2-D array or file")
-    p.add_argument("--order", type=int, default=1)
+    p.add_argument("--order", type=int, help="vector order (default 1); with "
+                   "--scalar it must equal the exponent sum")
     p.add_argument("--symmetrize", action="store_true")
     p.add_argument("--scalar", help="comma-separated exponents, e.g. 2,2")
     p.add_argument("--format", choices=("json", "csv", "pretty"))
@@ -604,7 +648,7 @@ def main(argv=None, out=None) -> int:
     except DimensionMismatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 4
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -99,16 +99,25 @@ class PolyFn:
 
     @classmethod
     def from_json_dict(cls, obj: dict) -> "PolyFn":
+        """Parse the JSON schema, rejecting what the constructor would coerce:
+        non-integer or boolean n_x, n_y and exponents, and coefficients that
+        are booleans, strings or not finite."""
         try:
-            n_x = int(obj["n_x"])
-            n_y = int(obj["n_y"])
+            n_x, n_y = obj["n_x"], obj["n_y"]
             components = [
                 [(mono["coeff"], mono["exponents"]) for mono in rows]
                 for rows in obj["components"]
             ]
+            for v in [n_x, n_y] + [e for rows in components for _, exps in rows for e in exps]:
+                if type(v) is not int:
+                    raise ValueError(f"n_x, n_y and exponents must be integers, got {v!r}")
+            for rows in components:
+                for coeff, _ in rows:
+                    if type(coeff) not in (int, float) or not math.isfinite(coeff):
+                        raise ValueError(f"coefficient {coeff!r} is not a finite number")
+            return cls(n_x, n_y, components)
         except (KeyError, TypeError) as exc:
             raise ValueError(f"malformed polynomial spec: {exc}") from exc
-        return cls(n_x, n_y, components)
 
 
 def identity_poly(n: int) -> PolyFn:
@@ -156,7 +165,10 @@ def exp_scalar_jet(y: float, max_order: int) -> Jet:
     """Jet of exp at the scalar point y: the value and every derivative are e^y."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
-    e = math.exp(y)
+    try:
+        e = math.exp(y)
+    except OverflowError:
+        raise ValueError(f"exp({y!r}) overflows a float") from None
     return Jet(1, 1, np.array([e]), tuple(np.array([[e]]) for _ in range(max_order)))
 
 

@@ -307,6 +307,95 @@ def test_config_rejects_unknown_fields(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("fields", [
+    {"size_cap": "abc"}, {"size_cap": True}, {"dense_cap": 4096.0},
+    {"sym_arity_cap": 10.5}, {"fd_step_first": "1e-5"}, {"fd_step_higher": float("nan")},
+    {"output_format": 3},
+])
+def test_config_rejects_wrongly_typed_values(tmp_path, fields, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(fields))
+    code, _ = run(["--config", str(cfg), "bell", "--n", "3", "--k", "2"])
+    assert code == 2
+    assert f"config field {next(iter(fields))} must be" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# input boundary: no coercion, no non-finite numbers, no tracebacks
+
+
+def write_poly(tmp_path, obj, name="p.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def test_moments_scalar_rejects_an_order_that_disagrees(capsys):
+    moments = ["moments", "--mean", "[0,0]", "--cov", json.dumps(SIGMA), "--scalar", "2,0"]
+    code, _ = run(moments + ["--order", "5"])
+    assert code == 2
+    assert "--order 5 disagrees" in capsys.readouterr().err
+    code, report = run_json(moments + ["--order", "2"])
+    assert code == 0 and report["value"] == 2.0
+
+
+@pytest.mark.parametrize("exponent", [1.5, True])
+def test_poly_rejects_non_integer_exponents(tmp_path, exponent):
+    # g(x) = x^1.5 used to be read as x^1, so exp(g) at 1 came out e, not 1.5 e.
+    g = write_poly(tmp_path, {"n_x": 1, "n_y": 1,
+                              "components": [[{"coeff": 1.0, "exponents": [exponent]}]]})
+    code, _ = run(["compose", "--f", "exp", "--g", g, "--at", "[1.0]", "--order", "1"])
+    assert code == 2
+    with pytest.raises(ValueError, match="integers"):
+        PolyFn.from_json_dict({"n_x": 1, "n_y": 1,
+                               "components": [[{"coeff": 1.0, "exponents": [exponent]}]]})
+
+
+@pytest.mark.parametrize("bad", [
+    {"n_x": True, "n_y": 1, "components": [[{"coeff": 1.0, "exponents": [1]}]]},
+    {"n_x": 1, "n_y": 1, "components": [[{"coeff": True, "exponents": [1]}]]},
+    {"n_x": 1, "n_y": 1, "components": [[{"coeff": 1.0, "exponents": 1}]]},
+])
+def test_poly_json_rejects_booleans_and_malformed_monomials(tmp_path, bad):
+    code, _ = run(["compose", "--f", "exp", "--g", write_poly(tmp_path, bad),
+                   "--at", "[1.0]", "--order", "1"])
+    assert code == 2
+
+
+def test_json_true_is_not_read_as_one(tmp_path):
+    g_path = quadratic_file(tmp_path)
+    moments = ["moments", "--order", "2"]
+    compose = ["compose", "--f", "exp", "--g", g_path, "--order", "2"]
+    for argv in (moments + ["--mean", "[true,0]", "--cov", json.dumps(SIGMA)],
+                 moments + ["--mean", "[0,0]", "--cov", "[[true,0],[0,1]]"],
+                 compose + ["--at", "[true,0]"],
+                 compose + ["--at", "[0,0]", "--dx", "[true,0]"]):
+        code, _ = run(argv)
+        assert code == 2, argv
+
+
+def test_non_finite_inputs_are_rejected(capsys):
+    code, _ = run(["moments", "--mean", "[NaN]", "--cov", "[[1.0]]", "--order", "2"])
+    assert code == 2
+    assert "--mean" in capsys.readouterr().err
+
+
+def test_non_finite_results_exit_2_naming_the_field(capsys):
+    for fmt in ("json", "csv", "pretty"):
+        code, text = run(["moments", "--mean", "[1e200]", "--cov", "[[1.0]]",
+                          "--order", "3", "--format", fmt])
+        assert code == 2 and text == ""
+        assert "report field moment[0] is not finite" in capsys.readouterr().err
+
+
+def test_compose_exp_overflow_exits_2(tmp_path, capsys):
+    g = write_poly(tmp_path, {"n_x": 1, "n_y": 1,
+                              "components": [[{"coeff": 1000.0, "exponents": [0]}]]})
+    code, _ = run(["compose", "--f", "exp", "--g", g, "--at", "[0.5]", "--order", "2"])
+    assert code == 2
+    assert "overflows" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
