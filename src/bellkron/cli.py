@@ -99,6 +99,8 @@ def load_config(args) -> RunConfig:
     if getattr(args, "config", None):
         with open(args.config) as fh:
             data = json.load(fh)
+        if not isinstance(data, dict):
+            raise ValueError("--config must hold a JSON object")
         unknown = set(data) - set(RunConfig.__dataclass_fields__)
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")

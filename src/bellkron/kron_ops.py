@@ -274,6 +274,8 @@ def symmetrize_rows(s: Symmetrizer, v, arity_cap: int = DEFAULT_ARITY_CAP,
     counts = np.bincount(groups)
     ids = groups + counts.size * np.arange(rows.shape[0])[:, None]
     sums = np.bincount(ids.ravel(), weights=rows.ravel()).reshape(-1, counts.size)
+    # np.take keeps C order; (sums / counts)[:, groups] would be column-major,
+    # and later BLAS products on it round differently.
     return np.take(sums / counts, groups, axis=1).reshape(v.shape)
 
 

@@ -310,14 +310,16 @@ def test_config_rejects_unknown_fields(tmp_path):
 @pytest.mark.parametrize("fields", [
     {"size_cap": "abc"}, {"size_cap": True}, {"dense_cap": 4096.0},
     {"sym_arity_cap": 10.5}, {"fd_step_first": "1e-5"}, {"fd_step_higher": float("nan")},
-    {"output_format": 3},
+    {"output_format": 3}, ["size_cap"],
 ])
 def test_config_rejects_wrongly_typed_values(tmp_path, fields, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(fields))
     code, _ = run(["--config", str(cfg), "bell", "--n", "3", "--k", "2"])
     assert code == 2
-    assert f"config field {next(iter(fields))} must be" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert ("must hold a JSON object" if isinstance(fields, list)
+            else f"config field {next(iter(fields))} must be") in err
 
 
 # ---------------------------------------------------------------------------
